@@ -270,6 +270,61 @@ let shard_report_to_json (r : shard_report) =
   Buffer.add_string b "  ]\n}";
   Buffer.contents b
 
+(* --- directory fan-out at P=1024 --- *)
+
+(* engine/fanout_ns_per_event: the P=1024 stencil of hscdbench's [scale]
+   workload (8 KB two-way caches) replayed engine-only under SC (first)
+   and the two directory schemes, best of 5 after a warm-up, the schemes
+   interleaved within each rep so host drift hits them alike. SC is the
+   per-event cost of a cached scheme with no sharer walk; a directory
+   whose host cost grows with P rather than with the sharers it touches
+   shows as a large ratio over it (6-12x for a walk that tests every
+   presence bit, ~1.3x for word-parallel walks). *)
+type fanout_row = { fo_scheme : string; fo_ns_per_event : float }
+
+type fanout_report = { fo_processors : int; fo_events : int; fo_rows : fanout_row list }
+
+let measure_fanout () =
+  let processors = 1024 in
+  let cfg =
+    Config.validate { Config.default with processors; cache_bytes = 8 * 1024; assoc = 2 }
+  in
+  let prog = Hscd_workloads.Kernels.jacobi1d ~n:(2 * processors) ~iters:2 () in
+  let p = (Run.compile ~cfg ~cache:false prog).Run.packed_trace in
+  let schemes = [ Run.SC; Run.HW; Run.LimitLESS ] in
+  List.iter (fun kind -> ignore (replay_packed ~cfg kind p)) schemes;
+  let best = List.map (fun kind -> (kind, ref infinity)) schemes in
+  for _ = 1 to 5 do
+    List.iter
+      (fun (kind, b) ->
+        let _, dt, _ = replay_packed ~cfg kind p in
+        if dt < !b then b := dt)
+      best
+  done;
+  let fev = float_of_int p.Trace.n_slots in
+  {
+    fo_processors = processors;
+    fo_events = p.Trace.n_slots;
+    fo_rows =
+      List.map
+        (fun (kind, b) -> { fo_scheme = Run.scheme_name kind; fo_ns_per_event = !b *. 1e9 /. fev })
+        best;
+  }
+
+let print_fanout_report (r : fanout_report) =
+  List.iter
+    (fun row ->
+      Printf.printf "  engine/fanout_ns_per_event (%-9s)       %12.0f ns (P=%d, %d events)\n"
+        row.fo_scheme row.fo_ns_per_event r.fo_processors r.fo_events)
+    r.fo_rows;
+  flush stdout
+
+let fanout_report_to_json (r : fanout_report) =
+  Printf.sprintf "{\n  \"processors\": %d,\n  \"events\": %d,\n  \"ns_per_event\": {%s}\n}"
+    r.fo_processors r.fo_events
+    (String.concat ", "
+       (List.map (fun row -> Printf.sprintf "\"%s\": %.0f" row.fo_scheme row.fo_ns_per_event) r.fo_rows))
+
 (* --- compile side: trace generation throughput --- *)
 
 (* tracegen/events_per_sec: same marked jacobi program generated twice —

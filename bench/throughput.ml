@@ -13,18 +13,24 @@
                    share compiled traces, or when the sharded engine
                    diverges from the shards=1 result, grossly regresses
                    the single-core loop, or allocates words/event that
-                   scale with the shard count (the @perf-smoke alias)
+                   scale with the shard count, or when a directory
+                   scheme's ns/event at P=1024 exceeds 3x SC's (the
+                   @perf-smoke alias)
      --json PATH   also write the measurements as JSON *)
 
 (* replay side: the engine decodes events without constructing variants.
-   Per-scheme minor-words/event ceilings at roughly 2x the measured smoke
-   values (BASE 1.3; SC/INV/VC/TPI 5.6; the directory schemes 8.9 — their
-   invalidation fan-out walks sharer sets): a scheme crossing its ceiling
-   has grown a new per-event allocation, not noise *)
+   Per-scheme minor-words/event ceilings over the measured smoke values
+   (BASE 1.3; SC/INV/VC/TPI 5.6; HW/LimitLESS 5.7 — their sharer walks
+   allocate nothing): a scheme crossing its ceiling has grown a new
+   per-event allocation, not noise *)
 let replay_words_cap = function
   | "BASE" -> 4.0
-  | "HW" | "LimitLESS" -> 16.0
-  | _ -> 8.0 (* SC, INV, VC, TPI *)
+  | _ -> 8.0 (* the cached schemes *)
+
+(* directory fan-out: at P=1024 a directory scheme's replay costs at most
+   this multiple of SC's per event (measured ~1.3-1.5x; a presence walk
+   that tests all P bits puts it at 6-12x) *)
+let fanout_ratio_cap = 3.0
 
 (* sharded replay must not multiply allocation by shard count: each extra
    shard adds only its slice bookkeeping, so words/event at the highest
@@ -74,16 +80,19 @@ let () =
         Perf.measure_sharded ~processors:1024 ~n:8192 ~iters:2 ~reps:1 () ]
   in
   List.iter Perf.print_shard_report sharded;
+  let fanout = Perf.measure_fanout () in
+  Perf.print_fanout_report fanout;
   (match json_path with
   | Some path ->
     let oc = open_out path in
     output_string oc
       (Printf.sprintf
-         "{\n\"engine\": %s,\n\"tracegen\": %s,\n\"compile_cache\": %s,\n\"sharded_replay\": [\n%s\n]\n}\n"
+         "{\n\"engine\": %s,\n\"tracegen\": %s,\n\"compile_cache\": %s,\n\"sharded_replay\": [\n%s\n],\n\"fanout\": %s\n}\n"
          (String.trim (Perf.report_to_json report))
          (Perf.compile_row_to_json gen)
          (Perf.cache_row_to_json cache)
-         (String.concat ",\n" (List.map Perf.shard_report_to_json sharded)));
+         (String.concat ",\n" (List.map Perf.shard_report_to_json sharded))
+         (Perf.fanout_report_to_json fanout));
     close_out oc;
     Printf.printf "  json written to %s\n%!" path
   | None -> ());
@@ -180,5 +189,24 @@ let () =
         row.Perf.sh_scheme row.Perf.sh_shards rep.Perf.shp_processors why row.Perf.sh_eps
         row.Perf.sh_engine_eps)
     shard_bad;
-  if bad <> [] || gen_bad || (not cache.Perf.cache_ok) || shard_bad <> [] || shard_alloc_bad <> []
+  let fanout_bad =
+    match fanout.Perf.fo_rows with
+    | sc :: directories (* SC's row comes first *) ->
+      List.filter_map
+        (fun (row : Perf.fanout_row) ->
+          let ratio = row.Perf.fo_ns_per_event /. sc.Perf.fo_ns_per_event in
+          if ratio > fanout_ratio_cap then Some (row, sc, ratio) else None)
+        directories
+    | [] -> []
+  in
+  List.iter
+    (fun ((row : Perf.fanout_row), (sc : Perf.fanout_row), ratio) ->
+      Printf.eprintf
+        "throughput: FAIL fan-out %s at P=%d: %.0f ns/event is %.2fx %s's %.0f (cap %.1fx)\n"
+        row.Perf.fo_scheme fanout.Perf.fo_processors row.Perf.fo_ns_per_event ratio
+        sc.Perf.fo_scheme sc.Perf.fo_ns_per_event fanout_ratio_cap)
+    fanout_bad;
+  if
+    bad <> [] || gen_bad || (not cache.Perf.cache_ok) || shard_bad <> [] || shard_alloc_bad <> []
+    || fanout_bad <> []
   then exit 1

@@ -29,9 +29,9 @@ let create cfg ~memory_words ~network ~traffic =
     traps = 0;
   }
 
-let sharers t addr =
-  let line = addr / t.hw.Hwdir.cfg.line_words in
-  Hscd_util.Bitset.cardinal t.hw.Hwdir.directory.(line).presence
+(* O(1): the directory keeps each line's sharer count beside its presence
+   vector *)
+let sharers t addr = t.hw.Hwdir.directory.(addr / t.hw.Hwdir.cfg.line_words).Hwdir.sharers
 
 let read t ~proc ~addr ~array ~mark =
   let overflowed = sharers t addr >= t.pointers in

@@ -6,6 +6,7 @@
       the presence vector names;
     - a clean line's sharers (states S) are all in the presence vector;
     - no two caches hold the same line with one of them in state M;
+    - the line's sharer count equals its presence vector's cardinal;
     - every cached value equals the memory image (values are kept eagerly
       current; the protocol governs timing, not values). *)
 
@@ -77,6 +78,8 @@ let check_invariants (hw : Hwdir.t) =
     else if modified <> [] then ok := false;
     (* every holder is known to the directory *)
     List.iter (fun (p, _) -> if not (Bitset.mem dir.Hwdir.presence p) then ok := false) hs;
+    (* the O(1) sharer count LimitLESS reads matches the presence vector *)
+    if dir.Hwdir.sharers <> Bitset.cardinal dir.Hwdir.presence then ok := false;
     (* cached values match memory *)
     List.iter
       (fun (_, line) ->

@@ -17,6 +17,7 @@ let () =
       ("extensions", Test_extensions.suite);
       ("stats-report", Test_stats_report.suite);
       ("hw-invariants", Test_hw_invariants.suite);
+      ("directory-pin", Test_directory_pin.suite);
       ("trace-io", Test_trace_io.suite);
       ("packed", Test_packed.suite);
       ("sharded", Test_sharded.suite);

@@ -94,20 +94,63 @@ let test_bitset_bounds () =
   Alcotest.check_raises "out of range" (Invalid_argument "Bitset: index 10 out of [0,10)")
     (fun () -> Bitset.add b 10)
 
+(* capacities on both sides of the 62-bit word boundaries, plus the
+   P=1024 presence-vector size; indices are drawn uniformly and from the
+   word edges *)
 let qcheck_bitset_vs_reference =
-  QCheck.Test.make ~name:"bitset agrees with a list-based reference" ~count:200
-    QCheck.(list (pair bool (int_bound 61)))
-    (fun ops ->
-      let b = Bitset.create 62 in
-      let reference = Hashtbl.create 16 in
+  let gen =
+    QCheck.Gen.(
+      let* cap = oneofl [ 0; 1; 61; 62; 63; 124; 125; 1024 ] in
+      let edges = List.filter (fun i -> i < cap) [ 0; 1; 61; 62; 63; 123; 124; cap - 1 ] in
+      let index = oneof [ int_bound (max 0 (cap - 1)); oneofl (if cap = 0 then [ 0 ] else edges) ] in
+      let+ ops = if cap = 0 then return [] else list_size (int_range 0 200) (pair bool index) in
+      (cap, ops))
+  in
+  let print (cap, ops) =
+    Printf.sprintf "capacity %d: %s" cap
+      (String.concat " "
+         (List.map (fun (add, i) -> Printf.sprintf "%c%d" (if add then '+' else '-') i) ops))
+  in
+  QCheck.Test.make ~name:"bitset agrees with a list-based reference" ~count:400
+    (QCheck.make ~print gen)
+    (fun (cap, ops) ->
+      let b = Bitset.create cap in
+      let reference = Array.make cap false in
       List.iter
         (fun (add, i) ->
-          if add then (Bitset.add b i; Hashtbl.replace reference i ())
-          else (Bitset.remove b i; Hashtbl.remove reference i))
+          if add then Bitset.add b i else Bitset.remove b i;
+          reference.(i) <- add)
         ops;
-      List.for_all (fun i -> Bitset.mem b i = Hashtbl.mem reference i)
-        (List.init 62 Fun.id)
-      && Bitset.cardinal b = Hashtbl.length reference)
+      let members = List.filter (fun i -> reference.(i)) (List.init cap Fun.id) in
+      let iterated = ref [] in
+      Bitset.iter (fun i -> iterated := i :: !iterated) b;
+      let from_words = ref [] in
+      for k = 0 to Bitset.word_count b - 1 do
+        let w = ref (Bitset.word b k) in
+        while !w <> 0 do
+          from_words := ((k * Bitset.bits_per_word) + Bitset.lowest_bit !w) :: !from_words;
+          w := !w land (!w - 1)
+        done
+      done;
+      let raises f = match f () with _ -> false | exception Invalid_argument _ -> true in
+      let cleared = Bitset.copy b in
+      Bitset.clear cleared;
+      List.for_all (fun i -> Bitset.mem b i = reference.(i)) (List.init cap Fun.id)
+      && List.rev !iterated = members
+      && List.rev !from_words = members
+      && Bitset.fold (fun i acc -> i :: acc) b [] = List.rev members
+      && Bitset.elements b = members
+      && Bitset.cardinal b = List.length members
+      && Bitset.is_empty b = (members = [])
+      && Bitset.word_count b = (cap + Bitset.bits_per_word - 1) / Bitset.bits_per_word
+      && Bitset.equal (Bitset.copy b) b
+      && Bitset.is_empty cleared
+      && Bitset.cardinal cleared = 0
+      && Bitset.elements cleared = []
+      && raises (fun () -> Bitset.mem b cap)
+      && raises (fun () -> Bitset.mem b (-1))
+      && raises (fun () -> Bitset.add b cap)
+      && raises (fun () -> Bitset.remove b (-1)))
 
 (* --- ints --- *)
 
