@@ -10,12 +10,9 @@
                    the streaming trace builder diverges from
                    boxed-generation + pack or allocates too much per
                    generated event, when a timing-knob sweep fails to
-                   share compiled traces, or when the sharded engine
-                   diverges from the shards=1 result, grossly regresses
-                   the single-core loop, or allocates words/event that
-                   scale with the shard count, or when a directory
-                   scheme's ns/event at P=1024 exceeds 3x SC's (the
-                   @perf-smoke alias)
+                   share compiled traces, or when a directory scheme's
+                   ns/event at P=1024 exceeds 3x SC's (the @perf-smoke
+                   alias)
      --json PATH   also write the measurements as JSON *)
 
 (* replay side: the engine decodes events without constructing variants.
@@ -31,15 +28,6 @@ let replay_words_cap = function
    this multiple of SC's per event (measured ~1.3-1.5x; a presence walk
    that tests all P bits puts it at 6-12x) *)
 let fanout_ratio_cap = 3.0
-
-(* sharded replay must not multiply allocation by shard count: each extra
-   shard adds only its slice bookkeeping, so words/event at the highest
-   shard count stays within a small factor (plus absolute slack for tiny
-   baselines) of the shards=1 run. This is the regression gate for the
-   per-shard machine-construction blowup, which scaled words/event
-   linearly in the shard count before lazy cache materialization. *)
-let sharded_scaling_factor = 1.5
-let sharded_scaling_slack = 8.0
 
 (* compile side: streaming generation appends into preallocated slabs, so
    per-slot allocation is interpreter overhead only (measured ~4.1 words
@@ -69,17 +57,6 @@ let () =
   Perf.print_compile_row gen;
   let cache = Perf.measure_cache () in
   Perf.print_cache_row cache;
-  (* sharded engine: aggregate ev/s, per-domain utilization and the
-     bit-identity gate; the full run adds the P=1024 scaling point *)
-  let sharded =
-    if smoke then
-      [ Perf.measure_sharded ~processors:16 ~n:512 ~iters:2 ~reps:1
-          ~shard_counts:[ 1; 2; 4 ] () ]
-    else
-      [ Perf.measure_sharded ();
-        Perf.measure_sharded ~processors:1024 ~n:8192 ~iters:2 ~reps:1 () ]
-  in
-  List.iter Perf.print_shard_report sharded;
   let fanout = Perf.measure_fanout () in
   Perf.print_fanout_report fanout;
   (match json_path with
@@ -87,11 +64,10 @@ let () =
     let oc = open_out path in
     output_string oc
       (Printf.sprintf
-         "{\n\"engine\": %s,\n\"tracegen\": %s,\n\"compile_cache\": %s,\n\"sharded_replay\": [\n%s\n],\n\"fanout\": %s\n}\n"
+         "{\n\"engine\": %s,\n\"tracegen\": %s,\n\"compile_cache\": %s,\n\"fanout\": %s\n}\n"
          (String.trim (Perf.report_to_json report))
          (Perf.compile_row_to_json gen)
          (Perf.cache_row_to_json cache)
-         (String.concat ",\n" (List.map Perf.shard_report_to_json sharded))
          (Perf.fanout_report_to_json fanout));
     close_out oc;
     Printf.printf "  json written to %s\n%!" path
@@ -121,74 +97,6 @@ let () =
       "throughput: FAIL compile cache (second sweep point regenerated traces: %d generations, \
        %d hits)\n"
       cache.Perf.cache_generations cache.Perf.cache_hits;
-  (* hard gate: every sharded row bit-identical to shards=1 and to the
-     sequential engine on this (order-free) fixture. Soft wall-clock gate:
-     the sharded run at shards=1 must not be grossly slower than the
-     sequential engine on the same whole-simulation basis — a generous 5x
-     bound so shared-box noise cannot trip it, while a pathological
-     per-event slowdown still fails. *)
-  let shard_bad =
-    List.concat_map
-      (fun (rep : Perf.shard_report) ->
-        List.filter_map
-          (fun (row : Perf.shard_row) ->
-            if not (row.Perf.sh_identical && row.Perf.sh_engine_identical) then
-              Some (rep, row, "diverged")
-            else if
-              row.Perf.sh_shards = 1 && row.Perf.sh_eps *. 5.0 < row.Perf.sh_engine_eps
-            then Some (rep, row, "single-core regression > 5x")
-            else None)
-          rep.Perf.shp_rows)
-      sharded
-  in
-  (* allocation-scaling gate: compare each scheme's highest-shard-count
-     row against its shards=1 row within the same report *)
-  let shard_alloc_bad =
-    List.concat_map
-      (fun (rep : Perf.shard_report) ->
-        let schemes =
-          List.sort_uniq compare
-            (List.map (fun (r : Perf.shard_row) -> r.Perf.sh_scheme) rep.Perf.shp_rows)
-        in
-        List.filter_map
-          (fun scheme ->
-            let rows =
-              List.filter
-                (fun (r : Perf.shard_row) -> r.Perf.sh_scheme = scheme)
-                rep.Perf.shp_rows
-            in
-            let at shards =
-              List.find_opt (fun (r : Perf.shard_row) -> r.Perf.sh_shards = shards) rows
-            in
-            let max_shards =
-              List.fold_left (fun m (r : Perf.shard_row) -> max m r.Perf.sh_shards) 1 rows
-            in
-            match (at 1, at max_shards) with
-            | Some one, Some top when max_shards > 1 ->
-              let cap =
-                (one.Perf.sh_minor_words_per_event *. sharded_scaling_factor)
-                +. sharded_scaling_slack
-              in
-              if top.Perf.sh_minor_words_per_event > cap then Some (rep, one, top, cap)
-              else None
-            | _ -> None)
-          schemes)
-      sharded
-  in
-  List.iter
-    (fun ((rep : Perf.shard_report), (one : Perf.shard_row), (top : Perf.shard_row), cap) ->
-      Printf.eprintf
-        "throughput: FAIL sharded %s at P=%d: words/event scales with shard count (%.2f at \
-         x%d vs %.2f at x1, cap %.2f)\n"
-        top.Perf.sh_scheme rep.Perf.shp_processors top.Perf.sh_minor_words_per_event
-        top.Perf.sh_shards one.Perf.sh_minor_words_per_event cap)
-    shard_alloc_bad;
-  List.iter
-    (fun ((rep : Perf.shard_report), (row : Perf.shard_row), why) ->
-      Printf.eprintf "throughput: FAIL sharded %s x%d at P=%d (%s; %.0f ev/s vs %.0f engine)\n"
-        row.Perf.sh_scheme row.Perf.sh_shards rep.Perf.shp_processors why row.Perf.sh_eps
-        row.Perf.sh_engine_eps)
-    shard_bad;
   let fanout_bad =
     match fanout.Perf.fo_rows with
     | sc :: directories (* SC's row comes first *) ->
@@ -206,7 +114,4 @@ let () =
         row.Perf.fo_scheme fanout.Perf.fo_processors row.Perf.fo_ns_per_event ratio
         sc.Perf.fo_scheme sc.Perf.fo_ns_per_event fanout_ratio_cap)
     fanout_bad;
-  if
-    bad <> [] || gen_bad || (not cache.Perf.cache_ok) || shard_bad <> [] || shard_alloc_bad <> []
-    || fanout_bad <> []
-  then exit 1
+  if bad <> [] || gen_bad || (not cache.Perf.cache_ok) || fanout_bad <> [] then exit 1

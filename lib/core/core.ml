@@ -102,6 +102,3 @@ let mark ?(intertask = true) program =
   let program = Hscd_lang.Sema.check_exn program in
   let m = Hscd_compiler.Marking.mark_program ~intertask program in
   (Hscd_compiler.Report.annotated_listing m.Hscd_compiler.Marking.program, m.Hscd_compiler.Marking.census)
-
-(* kept for the original scaffold's smoke test *)
-let placeholder () = ()

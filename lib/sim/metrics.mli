@@ -3,7 +3,6 @@
 module Scheme = Hscd_coherence.Scheme
 module Traffic = Hscd_network.Traffic
 
-val n_classes : int
 val class_index : Scheme.miss_class -> int
 val class_of_index : int -> Scheme.miss_class
 

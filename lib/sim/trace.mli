@@ -129,42 +129,6 @@ val packed_memory_words : packed -> int
     including builder growth headroom), for footprint reporting. *)
 val packed_slab_words : packed -> int
 
-(** Address partition and timing-reconstruction plan for the sharded
-    multi-domain replay ({!Engine.run_sharded}). Accesses are partitioned
-    by cache-set group, so lines, cache sets, directory entries and
-    per-line memory state never split across shards; per-epoch cost bins
-    (processor event segments delimited by Lock/Unlock) let the epoch
-    barrier reproduce the sequential engine's lock serialization from
-    per-bin latency sums. Requires static scheduling. *)
-module Shard : sig
-  type epoch_plan = {
-    sp_nbins : int;
-    sp_bin_proc : int array;  (** bin -> executing processor *)
-    sp_bin_static : int array;  (** bin -> compute cycles (work statements) *)
-    sp_proc_bin0 : int array;  (** proc -> its first bin this epoch *)
-    sp_ticket_proc : int array;  (** ticket -> processor holding it *)
-    sp_compute_total : int;  (** sum of all compute cycles in the epoch *)
-  }
-
-  type plan = {
-    sh_shards : int;
-    sh_epochs : epoch_plan array;
-    sh_slots : Slab.t array;  (** shard -> owned read/write slots, ascending *)
-    sh_bins : Slab.t array;  (** shard -> epoch-local bin of each owned slot *)
-    sh_off : int array array;  (** shard -> epoch -> first index in [sh_slots] *)
-    sh_max_bins : int;  (** max [sp_nbins] over epochs (scratch sizing) *)
-  }
-
-  (** Owning shard of an address: the line's cache-set index modulo the
-      shard count. Also the owner used when merging final memory images. *)
-  val shard_of_addr : Hscd_arch.Config.t -> shards:int -> int -> int
-
-  (** Build the partition. Raises [Invalid_argument] on [shards < 1] or
-      dynamic scheduling (use {!Run.simulate_packed_sharded} for the typed
-      error). *)
-  val build : Hscd_arch.Config.t -> shards:int -> packed -> plan
-end
-
 val packed_n_epochs : packed -> int
 val packed_n_parallel_epochs : packed -> int
 

@@ -755,8 +755,8 @@ module Mapped = struct
       Bytes.set m.m_epoch_ok e '\001'
     end
 
-  (** Force full validation (all chunks, all epochs) — the sharded replay
-      planner walks every slot up front, so it calls this first. *)
+  (** Force full validation (all chunks, all epochs), for callers that
+      read every slot up front instead of epoch by epoch. *)
   let validate_all m =
     for j = 0 to 4 do
       for c = 0 to m.m_nchunks - 1 do

@@ -1,8 +1,8 @@
-(** Golden pins for the directory schemes' answers. Cross-implementation
-    checks (packed ≡ boxed, sharded ≡ sequential) cannot see a change to
-    the presence-vector walks or the sharer count that moves both sides at
-    once; these constants come from the original per-bit presence walk,
-    and every directory implementation must reproduce them exactly.
+(** Golden pins for the directory schemes' answers. A cross-implementation
+    check (packed ≡ boxed) cannot see a change to the presence-vector walks
+    or the sharer count that moves both sides at once; these constants
+    come from the original per-bit presence walk, and every directory
+    implementation must reproduce them exactly.
 
     - A P=1024 stencil replayed as the benchmark's [scale] workload does
       (8 KB two-way caches): cycles, misses, the miss classes, and the

@@ -20,7 +20,6 @@ let () =
       ("directory-pin", Test_directory_pin.suite);
       ("trace-io", Test_trace_io.suite);
       ("packed", Test_packed.suite);
-      ("sharded", Test_sharded.suite);
       ("fuzz", Test_fuzz.suite);
       ("monitor", Test_monitor.suite);
       ("mc", Test_mc.suite);
@@ -29,5 +28,4 @@ let () =
       ("compile-cache", Test_compile_cache.suite);
       ("experiments", Test_experiments.suite);
       ("service", Test_service.suite);
-      ("core", [ Alcotest.test_case "facade placeholder" `Quick (fun () -> Core.placeholder ()) ]);
     ]
